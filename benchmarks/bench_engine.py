@@ -13,18 +13,29 @@ Each scenario also times a *reused* session (the kernel's second-run
 path, where per-deployment invariants are already cached) and checks
 report parity between the two engines before trusting the timings.
 
+A batch-count sweep (``scaling``) times the large deployment's kernel
+at 1k/2k/4k/8k batches, saturated (``measure_capacity``) and at 0.7x
+its capacity: the median of 5 repeats with min/max per point, the
+timeline's work counters, and a fitted log-log slope per regime (1.0
+is linear in the batch count, 2.0 quadratic).
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine.py [--quick] [--out P]
 
-``--quick`` runs only the small scenario (CI smoke); the full run is
-what produces the committed ``BENCH_engine.json``.
+``--quick`` runs only the small scenario and the 1k/2k points of the
+sweep (CI smoke, prints the slopes); the full run is what produces the
+committed ``BENCH_engine.json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import gc
 import json
+import math
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -210,6 +221,90 @@ def run_scenario(name, factory):
     return row
 
 
+#: Batch counts of the scaling sweep; ``--quick`` runs the first two.
+SWEEP_BATCHES = (1000, 2000, 4000, 8000)
+#: Offered load of the unsaturated sweep, as a fraction of capacity.
+SWEEP_LOAD = 0.7
+#: Timed repeats per sweep point (the median is reported).
+SWEEP_REPEATS = 5
+
+
+def _loglog_slope(batch_counts, seconds):
+    """Least-squares slope of log(seconds) over log(batch count)."""
+    xs = [math.log(n) for n in batch_counts]
+    ys = [math.log(t) for t in seconds]
+    x_mean = statistics.fmean(xs)
+    y_mean = statistics.fmean(ys)
+    return (sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+            / sum((x - x_mean) ** 2 for x in xs))
+
+
+def scaling_sweep(batch_counts=SWEEP_BATCHES, repeats=SWEEP_REPEATS):
+    """Kernel time against batch count on the large deployment.
+
+    Two regimes share one cached session: ``saturated`` is
+    ``measure_capacity`` (offered load far above capacity, the regime
+    every capacity race runs in) and ``load_0.7`` offers 0.7x the
+    capacity measured at the smallest batch count.  Each point is the
+    median of ``repeats`` timed runs (garbage collected before each),
+    with min/max and the timeline's work counters, which repeat
+    exactly.
+    """
+    deployment, spec, batch_size, _batches = large_scenario()
+    profile = BranchProfile.measure(
+        deployment.graph.clone(), spec, sample_packets=256,
+        batch_size=batch_size,
+    )
+    session = SimulationEngine().session(deployment)
+    kwargs = dict(batch_size=batch_size, branch_profile=profile)
+    capacity = session.measure_capacity(spec, batch_count=batch_counts[0],
+                                        **kwargs)
+    light = dataclasses.replace(spec, offered_gbps=SWEEP_LOAD * capacity)
+    regimes = {
+        "saturated": lambda n: session.measure_capacity(
+            spec, batch_count=n, **kwargs),
+        f"load_{SWEEP_LOAD}": lambda n: session.run(
+            light, batch_count=n, **kwargs),
+    }
+    rows = []
+    for regime, run in regimes.items():
+        samples = {batches: [] for batches in batch_counts}
+        work = {}
+        # Repeats go round-robin over the batch counts, so a host
+        # speed change lands on every point rather than on one.
+        for _ in range(repeats):
+            for batches in batch_counts:
+                gc.collect()
+                t0 = time.perf_counter()
+                run(batches)
+                samples[batches].append(time.perf_counter() - t0)
+                work[batches] = session.last_timeline.work_counters()
+        points = []
+        for batches in batch_counts:
+            times = samples[batches]
+            counters = work[batches]
+            out_of_order = counters["placements"] - counters["tail_hits"]
+            points.append({
+                "batch_count": batches,
+                "median_seconds": round(statistics.median(times), 6),
+                "min_seconds": round(min(times), 6),
+                "max_seconds": round(max(times), 6),
+                **counters,
+                "slots_per_out_of_order": round(
+                    counters["slots_visited"] / out_of_order, 3)
+                if out_of_order else 0.0,
+            })
+        slope = _loglog_slope(
+            batch_counts, [p["median_seconds"] for p in points])
+        rows.append({"regime": regime, "repeats": repeats,
+                     "capacity_gbps": round(capacity, 6),
+                     "loglog_slope": round(slope, 3), "points": points})
+        medians = " ".join(f"{p['batch_count']}:{p['median_seconds']:.3f}s"
+                           for p in points)
+        print(f"scaling  {regime:9s} {medians} slope={slope:.2f}")
+    return rows
+
+
 def device_scaling_row(device_count):
     """Kernel cost of an N-device placement (non-gating, recorded).
 
@@ -329,8 +424,6 @@ def arrival_overhead_row():
     is the cost of threading the pluggable clock; the MMPP delta adds
     the sampler plus the queueing the bursts actually cause.
     """
-    import dataclasses
-
     from repro.traffic.arrivals import MMPP, ConstantRate
 
     deployment, spec, batch_size, batch_count = small_scenario()
@@ -394,8 +487,6 @@ def overload_overhead_row():
     tax on unprotected workloads; the active delta is what shedding
     load costs when it happens.
     """
-    import dataclasses
-
     from repro.overload import (
         CircuitBreaker,
         OverloadConfig,
@@ -466,11 +557,16 @@ def main(argv=None):
     rows = [run_scenario(name, factory) for name, factory in scenarios]
     device_rows = [device_scaling_row(2), device_scaling_row(3)]
 
+    sweep_batches = SWEEP_BATCHES[:2] if args.quick else SWEEP_BATCHES
     report = {
         "benchmark": "engine kernel vs legacy loop",
         "python": sys.version.split()[0],
         "quick": args.quick,
         "scenarios": rows,
+        #: Non-gating: kernel time vs batch count on the large
+        #: deployment, saturated and at 0.7x capacity, with log-log
+        #: slopes (1.0 = linear).
+        "scaling": scaling_sweep(sweep_batches),
         #: Non-gating: share-vector placement cost at 2 vs 3 devices.
         "device_scaling": device_rows,
         #: Non-gating: fault-threading cost (empty timeline) and

@@ -5,16 +5,24 @@ splits the old monolithic engine loop into two long-lived objects:
 
 - :class:`ResourceTimeline` — serially reusable resources (CPU cores,
   GPUs, PCIe DMA lanes) with gap-filling FCFS scheduling.  Busy time
-  is kept as parallel sorted ``starts``/``ends`` arrays per resource,
-  so the earliest-gap query is a ``bisect`` plus a short forward walk
-  and the common tail append is O(1) — O(log n) amortized per task
-  instead of the legacy O(n) scan from index zero.  Committed slots
-  are stored exactly as placed (abutting slots are *not* merged):
-  zero-duration tasks may legally land in the seam between two
-  back-to-back slots, so placement depends on the commit history, not
-  just the busy-time union.  Keeping the history verbatim makes every
-  placement bit-identical to the legacy linear scanner (see
-  ``repro.sim.legacy`` and the Hypothesis differential property in
+  is kept per resource as sorted ``starts``/``ends`` arrays cut into
+  blocks of :data:`_BLOCK` slots, each block summarized by its last
+  end and a conservative bound on its widest gap.  The common tail
+  append is O(1); an earlier ready time bisects to its block, walks
+  it with the legacy comparison, and passes over every later block
+  whose gap bound rules out a fit.  At saturation, where lanes pack
+  into long runs of abutting slots and ready times fall ever further
+  behind the tail, this replaces a forward walk that grew with the run
+  (kernel time quadratic in the batch count) by a walk of a few slots
+  plus one step per block passed over, about n / :data:`_BLOCK`;
+  measured costs in and out of saturation are in ``docs/MODEL.md``
+  §4.1 and ``BENCH_engine.json``.  Committed slots are stored exactly as
+  placed (abutting slots are *not* merged): zero-duration tasks may
+  legally land in the seam between two back-to-back slots, so
+  placement depends on the commit history, not just the busy-time
+  union.  Keeping the history verbatim makes every placement
+  bit-identical to the legacy linear scanner (see ``repro.sim.legacy``
+  and the Hypothesis differential property in
   ``tests/properties/test_timeline_properties.py``).
 
 - :class:`SimulationSession` — per-deployment invariants computed
@@ -30,7 +38,10 @@ The per-node work of one batch is decomposed into small step methods
 (merge, service, split/duplicate, fan-out) operating on the session,
 keeping the :class:`~repro.sim.tracing.EventRecorder` hooks and the
 :class:`~repro.sim.metrics.OverheadBreakdown` accounting of the
-original loop intact.
+original loop intact.  Service times come from the cost model through
+a per-run memo: one run asks it once per distinct (node, device,
+batch statistics, interference) key, since a run sees only a handful
+of distinct batch sizes per node.
 """
 
 from __future__ import annotations
@@ -38,6 +49,8 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_right, insort
 from collections import deque
+from itertools import chain
+from operator import sub
 from typing import Dict, List, Optional, Tuple
 
 from repro.elements.offload import OffloadableElement
@@ -55,53 +68,199 @@ from repro.traffic.generator import TrafficSpec
 #: Tokens smaller than this many packets are considered empty.
 _EPSILON_PACKETS = 1e-9
 
+#: Slots a lane block holds before the tail opens a new block; a block
+#: grown by out-of-order inserts splits in half past twice this.
+_BLOCK = 64
+
+#: The stored gap width ``b - a`` and the exact fit test
+#: ``a + d <= b`` can disagree in the last ulp, so a block is skipped
+#: only when ``d`` exceeds its widest gap by more than this relative
+#: slack (of the largest magnitude in the block) plus an absolute
+#: floor for subnormal times — a margin well above the few ulps the
+#: two roundings can differ by, so every skipped block would also
+#: have been rejected slot by slot.
+_SKIP_SLACK = 2.0 ** -49
+_SKIP_FLOOR = 2.0 ** -1060
+
+
+def _skip_bound(widest: float, low: float, high: float) -> float:
+    """Durations above this cannot fit any gap of a block whose slot
+    endpoints lie in ``[low, high]`` and whose widest gap is
+    ``widest``."""
+    return widest + max(high, -low) * _SKIP_SLACK + _SKIP_FLOOR
+
 
 class _Lane:
-    """One resource's committed busy slots as parallel sorted arrays.
+    """One resource's committed busy slots, in blocks with a gap index.
 
-    ``starts``/``ends`` hold non-overlapping (possibly abutting)
-    half-open slots sorted by start; only positive-duration tasks are
-    committed, so ``ends`` is strictly increasing and usable as a
-    bisect key.  Slots are never merged: the seam between two
-    back-to-back slots is observable to zero-duration placements,
-    exactly as in the legacy scanner.
+    Slots are non-overlapping (possibly abutting) half-open intervals
+    sorted by start, kept as parallel ``starts``/``ends`` arrays cut
+    into blocks of about :data:`_BLOCK` slots.  Only positive-duration
+    tasks are committed, so ends are strictly increasing and each
+    block's last end is a bisect key over blocks.  Slots are never
+    merged: the seam between two back-to-back slots is observable to
+    zero-duration placements, exactly as in the legacy scanner.
+
+    Each block summarizes the widest gap before any of its slots —
+    the first slot's gap runs from the previous block's last end — as
+    a conservative skip bound (:func:`_skip_bound`).  A placement
+    bisects to its block, walks it with the legacy comparison, and
+    then passes over every later block whose bound rules out a fit,
+    so saturated lanes (long runs of abutting slots) cost a short walk
+    instead of one comparison per committed slot.
+
+    The lane also carries the resource's busy/queue-wait/task totals
+    and plain-int work counters: placements, tail fast-path hits, and
+    slots visited (each slot compared plus each block passed over) by
+    out-of-order placements.
     """
 
-    __slots__ = ("starts", "ends")
+    __slots__ = ("starts", "ends", "last_ends", "widest", "bounds",
+                 "busy", "queue_wait", "tasks",
+                 "placements", "tail_hits", "slots_visited")
 
     def __init__(self):
-        self.starts: List[float] = []
-        self.ends: List[float] = []
+        self.starts: List[List[float]] = []
+        self.ends: List[List[float]] = []
+        self.last_ends: List[float] = []
+        self.widest: List[float] = []
+        self.bounds: List[float] = []
+        self.busy = 0.0
+        self.queue_wait = 0.0
+        self.tasks = 0
+        self.placements = 0
+        self.tail_hits = 0
+        self.slots_visited = 0
 
     def place(self, ready: float, duration: float) -> Tuple[float, float]:
         """Commit the earliest fitting slot at or after ``ready``."""
-        starts, ends = self.starts, self.ends
+        self.placements += 1
+        last_ends = self.last_ends
         # Tail fast path: work arriving after all committed slots.
-        if not ends or ready >= ends[-1]:
+        if not last_ends or ready >= last_ends[-1]:
+            self.tail_hits += 1
             end = ready + duration
             if duration > 0:
-                starts.append(ready)
-                ends.append(end)
+                self._append(ready, end)
             return ready, end
         # Fast-forward to the first slot ending after the ready time;
-        # earlier slots cannot constrain the placement.  From here the
-        # walk is verbatim the legacy linear scan.
-        index = bisect_right(ends, ready)
+        # earlier slots cannot constrain the placement.  From here each
+        # walked block runs verbatim the legacy linear scan.
+        block = bisect_right(last_ends, ready)
+        index = bisect_right(self.ends[block], ready)
         start = ready
-        count = len(starts)
-        insert_at = count
-        while index < count:
-            if starts[index] >= start + duration:
-                insert_at = index
+        count = len(last_ends)
+        bounds = self.bounds
+        visited = 0
+        while True:
+            starts = self.starts[block]
+            ends = self.ends[block]
+            size = len(starts)
+            first = index
+            while index < size:
+                if starts[index] >= start + duration:
+                    break
+                if ends[index] > start:
+                    start = ends[index]
+                index += 1
+            if index < size:
+                visited += index - first + 1
                 break
-            if ends[index] > start:
-                start = ends[index]
-            index += 1
+            visited += size - first
+            # The walk left the block at its last end; pass over every
+            # block whose widest gap cannot hold the task.
+            block += 1
+            while block < count and bounds[block] < duration:
+                block += 1
+                visited += 1
+            start = last_ends[block - 1]
+            if block == count:
+                break
+            index = 0
+        self.slots_visited += visited
         end = start + duration
         if duration > 0:
-            starts.insert(insert_at, start)
-            ends.insert(insert_at, end)
+            if block == count:
+                self._append(start, end)
+            else:
+                self._insert(block, index, start, end)
         return start, end
+
+    def _append(self, start: float, end: float) -> None:
+        """Commit a slot after every committed slot."""
+        last_ends = self.last_ends
+        if not last_ends:
+            self._new_block(start, end, 0.0, start)
+            return
+        previous = last_ends[-1]
+        gap = start - previous
+        starts = self.starts[-1]
+        if len(starts) >= _BLOCK:
+            self._new_block(start, end, gap, previous)
+            return
+        starts.append(start)
+        self.ends[-1].append(end)
+        widest = self.widest
+        if gap > widest[-1]:
+            widest[-1] = gap
+        last_ends[-1] = end
+        low = last_ends[-2] if len(last_ends) > 1 else starts[0]
+        self.bounds[-1] = _skip_bound(widest[-1], low, end)
+
+    def _new_block(self, start: float, end: float, gap: float,
+                   low: float) -> None:
+        self.starts.append([start])
+        self.ends.append([end])
+        self.last_ends.append(end)
+        self.widest.append(gap)
+        self.bounds.append(_skip_bound(gap, low, end))
+
+    def _insert(self, block: int, index: int, start: float,
+                end: float) -> None:
+        """Commit a slot into the gap before ``block``'s slot ``index``."""
+        starts = self.starts[block]
+        ends = self.ends[block]
+        starts.insert(index, start)
+        ends.insert(index, end)
+        if len(starts) > 2 * _BLOCK:
+            self._split(block)
+            return
+        # The new slot split the gap before the slot now at index + 1;
+        # both halves are no wider, so only a split widest gap (or a
+        # new first slot of the lane) needs a rescan.
+        if index:
+            previous = ends[index - 1]
+        elif block:
+            previous = self.last_ends[block - 1]
+        else:
+            self._rescan(block)
+            return
+        if starts[index + 1] - previous == self.widest[block]:
+            self._rescan(block)
+
+    def _split(self, block: int) -> None:
+        starts = self.starts[block]
+        ends = self.ends[block]
+        half = len(starts) // 2
+        self.starts[block:block + 1] = [starts[:half], starts[half:]]
+        self.ends[block:block + 1] = [ends[:half], ends[half:]]
+        self.last_ends.insert(block, ends[half - 1])
+        self.widest.insert(block, 0.0)
+        self.bounds.insert(block, 0.0)
+        self._rescan(block)
+        self._rescan(block + 1)
+
+    def _rescan(self, block: int) -> None:
+        starts = self.starts[block]
+        ends = self.ends[block]
+        low = self.last_ends[block - 1] if block else starts[0]
+        widest = max(map(sub, starts, chain((low,), ends)))
+        self.widest[block] = widest
+        self.bounds[block] = _skip_bound(widest, low, ends[-1])
+
+    def intervals(self) -> List[Tuple[float, float]]:
+        return list(zip(chain.from_iterable(self.starts),
+                        chain.from_iterable(self.ends)))
 
 
 class ResourceTimeline:
@@ -130,17 +289,14 @@ class ResourceTimeline:
     is unchanged.
     """
 
-    __slots__ = ("_lanes", "busy", "queue_wait", "task_counts", "_waits",
-                 "queue_limit", "_pending_ready", "_pending_start")
+    __slots__ = ("_lanes", "_waits", "queue_limit", "_pending_ready",
+                 "_pending_start")
 
     def __init__(self, queue_limit: Optional[int] = None):
         if queue_limit is not None and queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
         self.queue_limit = queue_limit
         self._lanes: Dict[str, _Lane] = {}
-        self.busy: Dict[str, float] = {}
-        self.queue_wait: Dict[str, float] = {}
-        self.task_counts: Dict[str, int] = {}
         # Per-resource (ready, start) spans of tasks that had to wait;
         # zero-wait tasks are not recorded, so the common uncongested
         # path stays allocation-free.
@@ -155,6 +311,32 @@ class ResourceTimeline:
         self._pending_ready: Dict[str, List[float]] = {}
         self._pending_start: Dict[str, List[float]] = {}
 
+    @property
+    def busy(self) -> Dict[str, float]:
+        """Summed task durations per resource."""
+        return {name: lane.busy for name, lane in self._lanes.items()}
+
+    @property
+    def queue_wait(self) -> Dict[str, float]:
+        """Summed ``start - ready`` delays per resource."""
+        return {name: lane.queue_wait
+                for name, lane in self._lanes.items()}
+
+    @property
+    def task_counts(self) -> Dict[str, int]:
+        """Scheduled tasks (zero-duration ones included) per resource."""
+        return {name: lane.tasks for name, lane in self._lanes.items()}
+
+    def work_counters(self) -> Dict[str, int]:
+        """Placement work summed over lanes: ``placements``,
+        ``tail_hits`` and ``slots_visited``."""
+        lanes = self._lanes.values()
+        return {
+            "placements": sum(lane.placements for lane in lanes),
+            "tail_hits": sum(lane.tail_hits for lane in lanes),
+            "slots_visited": sum(lane.slots_visited for lane in lanes),
+        }
+
     def schedule(self, resource: str, ready: float,
                  duration: float) -> Tuple[float, float]:
         """Occupy ``resource`` for ``duration``; returns (start, end)."""
@@ -164,11 +346,9 @@ class ResourceTimeline:
         if lane is None:
             lane = self._lanes[resource] = _Lane()
         start, end = lane.place(ready, duration)
-        self.busy[resource] = self.busy.get(resource, 0.0) + duration
-        self.queue_wait[resource] = (
-            self.queue_wait.get(resource, 0.0) + (start - ready)
-        )
-        self.task_counts[resource] = self.task_counts.get(resource, 0) + 1
+        lane.busy += duration
+        lane.queue_wait += start - ready
+        lane.tasks += 1
         if start > ready:
             self._waits.setdefault(resource, []).append((ready, start))
             if self.queue_limit is not None:
@@ -209,7 +389,7 @@ class ResourceTimeline:
             for ready, start in spans:
                 events.append((ready, 1))
                 events.append((start, -1))
-            events.sort(key=lambda event: (event[0], event[1]))
+            events.sort()
             depth = 0
             peak = 0
             for _time, delta in events:
@@ -227,14 +407,14 @@ class ResourceTimeline:
         lane = self._lanes.get(resource)
         if lane is None:
             return []
-        return list(zip(lane.starts, lane.ends))
+        return lane.intervals()
 
     def busy_span(self, resource: str) -> float:
         """Total busy-block width; equals the summed task durations."""
         lane = self._lanes.get(resource)
         if lane is None:
             return 0.0
-        return sum(e - s for s, e in zip(lane.starts, lane.ends))
+        return sum(e - s for s, e in lane.intervals())
 
 
 class _Token:
@@ -620,6 +800,11 @@ class SimulationSession:
         #: ``head_cancelled``/``breaker_trips``/``retry_attempts``/
         #: ``breaker_open_requeues``/``retry_exhausted_requeues``.
         self.last_overload_stats: Optional[Dict[str, float]] = None
+        # Per-run memos of the cost model, keyed by every argument
+        # (see _cpu_seconds / _device_timing); cleared at the start of
+        # each run because element cost hints may change between runs.
+        self._cpu_costs: Dict[tuple, float] = {}
+        self._device_costs: Dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     def _branch_tables(self, profile):
@@ -713,6 +898,10 @@ class SimulationSession:
             trace.count("overload.sheds", ostats["shed_batches"])
             trace.count("breaker.trips", ostats["breaker_trips"])
             trace.count("retry.attempts", ostats["retry_attempts"])
+        if trace.enabled:
+            work = self.last_timeline.work_counters()
+            for name in ("placements", "tail_hits", "slots_visited"):
+                trace.count(f"sim.timeline.{name}", work[name])
         if recorder is not None and trace.enabled:
             self._bridge_recorder(trace, recorder, sim_span.span_id)
         return report
@@ -734,6 +923,8 @@ class SimulationSession:
             # that cannot alter the run takes the exact historical
             # code path (golden-parity suite).
             overload = None
+        self._cpu_costs.clear()
+        self._device_costs.clear()
         self.last_fault_stats = None if faults is None else {
             "requeued_batches": 0,
             "requeued_packets": 0.0,
@@ -977,6 +1168,46 @@ class SimulationSession:
                            busy_sim_seconds=busy)
 
     # ------------------------------------------------------------------
+    # Per-run cost memos
+    # ------------------------------------------------------------------
+    def _cpu_seconds(self, plan: _NodePlan, batch_size: int,
+                     mean_bytes: float, match_profile,
+                     co_run_pressure_bytes: float = 0.0) -> float:
+        """``CostModel.cpu_batch_seconds``, memoized for this run."""
+        key = (plan.node_id, batch_size, mean_bytes, match_profile,
+               co_run_pressure_bytes)
+        seconds = self._cpu_costs.get(key)
+        if seconds is None:
+            stats = BatchStats(batch_size=batch_size,
+                               mean_packet_bytes=mean_bytes,
+                               match_profile=match_profile)
+            seconds = self._cpu_costs[key] = self.cost.cpu_batch_seconds(
+                plan.element, stats,
+                co_run_pressure_bytes=co_run_pressure_bytes,
+            )
+        return seconds
+
+    def _device_timing(self, plan: _NodePlan, leg: _OffloadLeg,
+                       batch_size: int, mean_bytes: float,
+                       match_profile, co_running_kernels: int):
+        """``CostModel.device_batch_timing``, memoized for this run."""
+        persistent = self.deployment.persistent_kernel
+        key = (plan.node_id, leg.device_id, batch_size, mean_bytes,
+               match_profile, persistent, co_running_kernels)
+        timing = self._device_costs.get(key)
+        if timing is None:
+            stats = BatchStats(batch_size=batch_size,
+                               mean_packet_bytes=mean_bytes,
+                               match_profile=match_profile)
+            timing = self._device_costs[key] = \
+                self.cost.device_batch_timing(
+                    plan.element, stats, leg.device,
+                    persistent_kernel=persistent,
+                    co_running_kernels=co_running_kernels,
+                )
+        return timing
+
+    # ------------------------------------------------------------------
     # Node-step functions
     # ------------------------------------------------------------------
     def _merge_step(self, plan: _NodePlan, ready: float, packets: float,
@@ -1003,14 +1234,9 @@ class SimulationSession:
 
         completion = ready
         if host_packets > _EPSILON_PACKETS:
-            stats = BatchStats(
-                batch_size=max(1, round(host_packets)),
-                mean_packet_bytes=mean_bytes,
-                match_profile=spec.match_profile,
-            )
-            service = self.cost.cpu_batch_seconds(
-                plan.element, stats,
-                co_run_pressure_bytes=co_run_pressure_bytes,
+            service = self._cpu_seconds(
+                plan, max(1, round(host_packets)), mean_bytes,
+                spec.match_profile, co_run_pressure_bytes,
             ) * cpu_time_inflation
             _start, completion = timeline.schedule(plan.host_resource,
                                                    ready, service)
@@ -1055,16 +1281,9 @@ class SimulationSession:
                       cpu_time_inflation: float = 1.0,
                       faults=None, overload_state=None,
                       recorder=None, batch_index: int = 0) -> float:
-        stats = BatchStats(
-            batch_size=max(1, round(leg_packets)),
-            mean_packet_bytes=mean_bytes,
-            match_profile=spec.match_profile,
-        )
-        timing = self.cost.device_batch_timing(
-            plan.element, stats, leg.device,
-            persistent_kernel=self.deployment.persistent_kernel,
-            co_running_kernels=gpu_corun_kernels,
-        )
+        timing = self._device_timing(plan, leg, max(1, round(leg_packets)),
+                                     mean_bytes, spec.match_profile,
+                                     gpu_corun_kernels)
         h2d = timing.h2d if leg.pays_h2d else 0.0
         d2h = timing.d2h if leg.pays_d2h else 0.0
         kernel_service = timing.kernel
@@ -1247,17 +1466,13 @@ class SimulationSession:
         breaker can stay open into a run without a fault timeline, so
         ``faults`` may be ``None`` here (the default penalty applies).
         """
-        stats = BatchStats(
-            batch_size=max(1, round(leg_packets)),
-            mean_packet_bytes=mean_bytes,
-            match_profile=spec.match_profile,
-        )
         if faults is not None:
             penalty = faults.requeue_penalty
         else:
             from repro.faults.spec import DEFAULT_REQUEUE_PENALTY
             penalty = DEFAULT_REQUEUE_PENALTY
-        service = self.cost.cpu_batch_seconds(plan.element, stats) \
+        service = self._cpu_seconds(plan, max(1, round(leg_packets)),
+                                    mean_bytes, spec.match_profile) \
             * cpu_time_inflation * penalty
         _start, completion = timeline.schedule(plan.host_resource,
                                                ready, service)

@@ -136,6 +136,8 @@ def verify_timeline(timeline) -> List[str]:
     violations (empty = the timeline is consistent).
     """
     problems: List[str] = []
+    busy_totals = timeline.busy
+    queue_waits = timeline.queue_wait
     for resource in timeline.resources():
         blocks = timeline.intervals(resource)
         for start, end in blocks:
@@ -150,17 +152,17 @@ def verify_timeline(timeline) -> List[str]:
                     f"{resource}: busy blocks overlap "
                     f"(..., {e1}) and ({s2}, ...) — double booking"
                 )
-        busy = timeline.busy.get(resource, 0.0)
+        busy = busy_totals.get(resource, 0.0)
         span = timeline.busy_span(resource)
         if abs(span - busy) > max(1e-6, 1e-9 * abs(busy)):
             problems.append(
                 f"{resource}: committed block width {span} disagrees "
                 f"with busy-seconds bookkeeping {busy}"
             )
-        if timeline.queue_wait.get(resource, 0.0) < -_TOLERANCE:
+        if queue_waits.get(resource, 0.0) < -_TOLERANCE:
             problems.append(
                 f"{resource}: negative accumulated queue wait "
-                f"{timeline.queue_wait[resource]}"
+                f"{queue_waits[resource]}"
             )
     return problems
 
