@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.compass import CompassPlan, NFCompass, ProfileConfig
+from repro.core.compass import CompassPlan, NFCompass
 from repro.core.runtime import EpochResult
 from repro.nf.base import ServiceFunctionChain
 from repro.obs import resolve_trace
@@ -110,9 +110,8 @@ class AdaptiveRuntime:
             sfc, initial_spec, batch_size=batch_size, trace=self.trace
         )
         self.session: SimulationSession = self._session_for(self.plan)
-        self._profile = self._measure_profile(initial_spec)
         self._descriptor = TrafficDescriptor.of(initial_spec,
-                                                self._profile)
+                                                self.plan.branch_profile)
 
     # ------------------------------------------------------------------
     def _session_for(self, plan: CompassPlan) -> SimulationSession:
@@ -121,12 +120,6 @@ class AdaptiveRuntime:
         if plan.session is None:
             plan.session = self.compass.engine.session(plan.deployment)
         return plan.session
-
-    def _measure_profile(self, spec: TrafficSpec) -> BranchProfile:
-        return self.plan.profile(
-            spec, ProfileConfig.deploy_time(self.batch_size),
-            trace=self.trace,
-        )
 
     def observe_drift(self, spec: TrafficSpec) -> float:
         """Drift of ``spec`` relative to the plan's traffic."""
@@ -151,8 +144,9 @@ class AdaptiveRuntime:
                                             batch_size=self.batch_size,
                                             trace=self.trace)
             self.session = self._session_for(self.plan)
-            self._profile = self._measure_profile(spec)
-            self._descriptor = TrafficDescriptor.of(spec, self._profile)
+            self._descriptor = TrafficDescriptor.of(
+                spec, self.plan.branch_profile
+            )
             self._cooldown = self.cooldown_epochs
             self.replans += 1
             replanned = True
@@ -161,7 +155,7 @@ class AdaptiveRuntime:
         report = self.session.run(
             spec,
             batch_size=self.batch_size, batch_count=batch_count,
-            branch_profile=self._profile,
+            branch_profile=self.plan.branch_profile,
             trace=self.trace,
             overload=self.overload,
         )

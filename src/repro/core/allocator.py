@@ -30,7 +30,7 @@ from repro.core.partition import (
     multiway_agglomerative_partition,
     multiway_kl_partition,
 )
-from repro.core.profiler import node_traffic_shares
+from repro.core.profiler import ProfileConfig, node_traffic_shares
 from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement
 from repro.hw.costs import BatchStats, CostModel
@@ -113,19 +113,21 @@ class GraphTaskAllocator:
                  batch_size: int = 64,
                  branch_profile: Optional[BranchProfile] = None,
                  trace=None) -> Tuple[Mapping, AllocationReport]:
-        """Map ``graph`` onto the platform for traffic ``spec``."""
+        """Map ``graph`` onto the platform for traffic ``spec``.
+
+        ``branch_profile`` is the traffic distribution over ``graph``;
+        without one, the allocator profiles a clone of ``graph`` with
+        :meth:`~repro.core.profiler.ProfileConfig.run_time`, leaving
+        ``graph`` itself untouched.
+        """
         trace = resolve_trace(trace)
         with trace.span("allocate", graph=graph.name,
                         algorithm=self.algorithm) as alloc_span:
-            if branch_profile is not None:
-                profile = branch_profile
-            else:
-                with trace.span("profile", graph=graph.name):
-                    profile = BranchProfile.measure(
-                        graph, spec,
-                        sample_packets=max(256, batch_size * 4),
-                        batch_size=batch_size,
-                    )
+            profile = branch_profile
+            if profile is None:
+                profile = ProfileConfig.run_time(batch_size).measure(
+                    graph, spec, trace=trace
+                )
             shares = node_traffic_shares(graph, profile)
             with trace.span("expand", delta=self.delta) as span:
                 expanded = expand_graph(graph, delta=self.delta)

@@ -23,6 +23,7 @@ from typing import Callable, List, Optional
 from repro._compat import legacy_api_enabled, legacy_shim
 from repro.core.allocator import AllocationReport, GraphTaskAllocator
 from repro.core.orchestrator import ParallelPlan, SFCOrchestrator
+from repro.core.profiler import ProfileConfig
 from repro.core.synthesizer import NFSynthesizer, SynthesisReport
 from repro.elements.graph import ElementGraph
 from repro.hw.costs import CostModel
@@ -34,41 +35,6 @@ from repro.sim.kernel import SimulationSession
 from repro.sim.mapping import Deployment, Mapping
 from repro.sim.metrics import ThroughputLatencyReport
 from repro.traffic.generator import TrafficSpec
-
-
-@dataclass(frozen=True)
-class ProfileConfig:
-    """How to measure a :class:`~repro.sim.engine.BranchProfile`.
-
-    The deploy-time capacity race and the final simulation used to
-    inline two slightly different ``BranchProfile.measure`` calls;
-    this dataclass is the single source of truth for their kwargs.
-    ``sample_packets`` wins when set; otherwise the sample size is
-    ``max(min_sample_packets, batch_size * sample_batches)``.
-    """
-
-    batch_size: int = 64
-    sample_packets: Optional[int] = None
-    min_sample_packets: int = 128
-    sample_batches: int = 2
-
-    @classmethod
-    def deploy_time(cls, batch_size: int) -> "ProfileConfig":
-        """The quick profile used by the deploy-time capacity race."""
-        return cls(batch_size=batch_size)
-
-    @classmethod
-    def run_time(cls, batch_size: int) -> "ProfileConfig":
-        """The larger sample used before a full simulation run."""
-        return cls(batch_size=batch_size, min_sample_packets=256,
-                   sample_batches=4)
-
-    @property
-    def resolved_sample_packets(self) -> int:
-        if self.sample_packets is not None:
-            return self.sample_packets
-        return max(self.min_sample_packets,
-                   self.batch_size * self.sample_batches)
 
 
 @dataclass
@@ -83,6 +49,14 @@ class CompassPlan:
     #: The simulation session built during the deploy-time capacity
     #: race, reusable by callers that simulate the chosen plan.
     session: Optional[SimulationSession] = field(
+        default=None, repr=False, compare=False
+    )
+    #: The deployed graph's branch profile, measured once on a clone
+    #: with :meth:`ProfileConfig.run_time` under the deploy's traffic
+    #: spec.  Allocation, the capacity race and :meth:`NFCompass.run`
+    #: all use it; runtimes that deploy and then simulate the same
+    #: spec reuse it instead of profiling again.
+    branch_profile: Optional[BranchProfile] = field(
         default=None, repr=False, compare=False
     )
 
@@ -116,22 +90,17 @@ class CompassPlan:
     def profile(self, spec: TrafficSpec,
                 config: Optional[ProfileConfig] = None,
                 trace=None) -> BranchProfile:
-        """Measure a branch profile for this plan's deployment.
+        """Measure a fresh branch profile for this plan's deployment.
 
-        Profiling runs on a clone so the deployed graph's element
-        state never carries warmed-up profiling traffic into a
-        simulated run or a golden-model comparison.
+        For a spec or sample size other than the deploy's.  The deploy
+        already profiled the plan once (:attr:`branch_profile`), and
+        NFCompass itself never calls this.  Profiling runs on a clone
+        (:meth:`ProfileConfig.measure`), so the deployed graph's
+        element state never carries warmed-up profiling traffic.
         """
-        config = config or ProfileConfig()
-        trace = resolve_trace(trace)
-        with trace.span("profile", graph=self.deployment.graph.name,
-                        sample_packets=config.resolved_sample_packets,
-                        batch_size=config.batch_size):
-            return BranchProfile.measure(
-                self.deployment.graph.clone(), spec,
-                sample_packets=config.resolved_sample_packets,
-                batch_size=config.batch_size,
-            )
+        return (config or ProfileConfig()).measure(
+            self.deployment.graph, spec, trace=trace
+        )
 
     def describe(self) -> str:
         lines = [f"NFCompass plan for {self.sfc.name}:"]
@@ -278,8 +247,12 @@ class NFCompass:
             graph, synthesis_report = self.synthesizer.synthesize(
                 graph, trace=trace
             )
+        branch_profile = ProfileConfig.run_time(batch_size).measure(
+            graph, spec, trace=trace
+        )
         mapping, allocation_report = self.allocator.allocate(
-            graph, spec, batch_size=batch_size, trace=trace,
+            graph, spec, batch_size=batch_size,
+            branch_profile=branch_profile, trace=trace,
         )
         deployment = Deployment(
             graph=graph,
@@ -294,6 +267,7 @@ class NFCompass:
             synthesis_report=synthesis_report,
             allocation_report=allocation_report,
             deployment=deployment,
+            branch_profile=branch_profile,
         )
 
     def deploy(self, sfc: ServiceFunctionChain, spec: TrafficSpec,
@@ -310,6 +284,10 @@ class NFCompass:
         the gain).  The runtime therefore evaluates both the
         parallelized and the sequential deployment against the traffic
         profile and keeps the one with the higher simulated capacity.
+
+        Each candidate graph is profiled exactly once, on a clone; the
+        chosen plan carries that profile as
+        :attr:`CompassPlan.branch_profile`.
         """
         trace = resolve_trace(trace)
         with trace.span("deploy", sfc=sfc.name,
@@ -337,14 +315,12 @@ class NFCompass:
         trace.count("compass.candidates_evaluated", len(candidates))
         if len(candidates) == 1:
             return candidates[0]
-        profile_config = ProfileConfig.deploy_time(batch_size)
         capacities = []
         for plan in candidates:
-            profile = plan.profile(spec, profile_config, trace=trace)
             plan.session = self.engine.session(plan.deployment)
             capacity = plan.session.measure_capacity(
-                spec, batch_size=batch_size,
-                batch_count=40, branch_profile=profile, trace=trace,
+                spec, batch_size=batch_size, batch_count=40,
+                branch_profile=plan.branch_profile, trace=trace,
             )
             capacities.append(capacity)
             trace.observe("compass.candidate_capacity_gbps", capacity)
@@ -376,16 +352,13 @@ class NFCompass:
                         batch_count=batch_count):
             plan = self.deploy(sfc, spec, batch_size=batch_size,
                                max_width=max_width, trace=trace)
-            profile = plan.profile(
-                spec, ProfileConfig.run_time(batch_size), trace=trace
-            )
             session = plan.session or self.engine.session(plan.deployment)
             plan.session = session
             report = session.run(
                 spec,
                 batch_size=batch_size,
                 batch_count=batch_count,
-                branch_profile=profile,
+                branch_profile=plan.branch_profile,
                 trace=trace,
                 overload=overload,
             )

@@ -102,13 +102,8 @@ class MultiTenantScheduler:
                 **self.compass_kwargs,
             )
             plan = compass.deploy(sfc, spec, batch_size=batch_size)
-            profile = BranchProfile.measure(
-                plan.deployment.graph, spec,
-                sample_packets=max(128, batch_size * 2),
-                batch_size=batch_size,
-            )
             tenant = Tenant(name=name, sfc=sfc, spec=spec, plan=plan,
-                            cores=cores, profile=profile)
+                            cores=cores, profile=plan.branch_profile)
             tenant._compass = compass  # keep the engine alive
             self.tenants.append(tenant)
         return self.tenants

@@ -15,6 +15,8 @@ partition graph:
 In the reproduction the offline rates come from evaluating the
 platform cost model (exactly what profiling a simulator means), and
 runtime statistics come from functional execution of sample traffic.
+:class:`ProfileConfig` fixes the runtime sample's size and measures it
+on a clone, so the profiled graph never carries the sample's traffic.
 """
 
 from __future__ import annotations
@@ -26,12 +28,74 @@ from repro.elements.element import Element
 from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement
 from repro.hw.costs import BatchStats, CostModel
+from repro.obs import resolve_trace
 from repro.sim.engine import BranchProfile
 from repro.traffic.dpi_profiles import MatchProfile
+from repro.traffic.generator import TrafficSpec
 
 #: Default offline profiling grid.
 DEFAULT_PACKET_SIZES: Tuple[int, ...] = (64, 128, 256, 512, 1024, 1500)
 DEFAULT_BATCH_SIZES: Tuple[int, ...] = (32, 64, 128, 256, 512)
+
+
+@dataclass(frozen=True)
+class ProfileConfig:
+    """How to measure a :class:`~repro.sim.engine.BranchProfile`.
+
+    The single source of truth for runtime-profiling sample sizes.
+    ``sample_packets`` wins when set; otherwise the sample size is
+    ``max(min_sample_packets, batch_size * sample_batches)``.
+
+    NFCompass profiles each deploy candidate exactly once, with
+    :meth:`run_time`, and reuses that profile for allocation, the
+    capacity race and the simulation (``CompassPlan.branch_profile``).
+    :meth:`deploy_time` and the defaults (a smaller sample) are kept
+    for callers; compass does not use them.
+    """
+
+    batch_size: int = 64
+    sample_packets: Optional[int] = None
+    min_sample_packets: int = 128
+    sample_batches: int = 2
+
+    @classmethod
+    def deploy_time(cls, batch_size: int) -> "ProfileConfig":
+        """The smaller ``max(128, 2 x batch)`` sample."""
+        return cls(batch_size=batch_size)
+
+    @classmethod
+    def run_time(cls, batch_size: int) -> "ProfileConfig":
+        """The ``max(256, 4 x batch)`` sample every deploy candidate is
+        profiled with."""
+        return cls(batch_size=batch_size, min_sample_packets=256,
+                   sample_batches=4)
+
+    @property
+    def resolved_sample_packets(self) -> int:
+        if self.sample_packets is not None:
+            return self.sample_packets
+        return max(self.min_sample_packets,
+                   self.batch_size * self.sample_batches)
+
+    def measure(self, graph: ElementGraph, spec: TrafficSpec,
+                trace=None) -> BranchProfile:
+        """Profile a :meth:`~repro.elements.graph.ElementGraph.clone`
+        of ``graph`` under ``spec``, as one ``profile`` span.
+
+        ``graph`` itself is left untouched: node ids match, so the
+        profile applies to it directly, and its elements never carry
+        warmed-up profiling traffic into a simulated run or a
+        golden-model comparison.
+        """
+        trace = resolve_trace(trace)
+        sample_packets = self.resolved_sample_packets
+        with trace.span("profile", graph=graph.name,
+                        sample_packets=sample_packets,
+                        batch_size=self.batch_size):
+            return BranchProfile.measure(
+                graph.clone(), spec, sample_packets=sample_packets,
+                batch_size=self.batch_size,
+            )
 
 
 @dataclass(frozen=True)

@@ -83,12 +83,9 @@ def _ablation_point(study: str, variant: str, batch_count: int,
         start = time.perf_counter()
         plan = compass.deploy(_chain(), spec, batch_size=64)
         planning = time.perf_counter() - start
-        profile = BranchProfile.measure(plan.deployment.graph, spec,
-                                        sample_packets=256,
-                                        batch_size=64)
         result = common.measure(compass.engine, plan.deployment, spec,
                                 batch_size=64, batch_count=batch_count,
-                                branch_profile=profile)
+                                branch_profile=plan.branch_profile)
         return [AblationRow(
             study=study, variant=variant,
             throughput_gbps=result.throughput_gbps,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.compass import CompassPlan, NFCompass, ProfileConfig
+from repro.core.compass import CompassPlan, NFCompass
 from repro.core.runtime import EpochResult
 from repro.faults.spec import FaultTimeline
 from repro.hw.platform import PlatformSpec
@@ -91,7 +91,6 @@ class ResilientRuntime:
             sfc, initial_spec, batch_size=batch_size, trace=self.trace
         )
         self.session: SimulationSession = self._session_for(self.plan)
-        self._profile = self._measure_profile(initial_spec)
 
     # ------------------------------------------------------------------
     def offload_device_ids(self) -> List[str]:
@@ -119,12 +118,6 @@ class ResilientRuntime:
         if plan.session is None:
             plan.session = self.compass.engine.session(plan.deployment)
         return plan.session
-
-    def _measure_profile(self, spec: TrafficSpec):
-        return self.plan.profile(
-            spec, ProfileConfig.deploy_time(self.batch_size),
-            trace=self.trace,
-        )
 
     # ------------------------------------------------------------------
     def _epoch_health(self, t0: float, t1: float) -> Dict[str, bool]:
@@ -165,7 +158,6 @@ class ResilientRuntime:
                 trace=self.trace,
             )
             self.session = self._session_for(self.plan)
-            self._profile = self._measure_profile(spec)
         self.replans += 1
         self.trace.count("fault.replans")
         self.trace.count("fault.device_down", len(went_down))
@@ -200,7 +192,7 @@ class ResilientRuntime:
         report = self.session.run(
             spec,
             batch_size=self.batch_size, batch_count=batch_count,
-            branch_profile=self._profile,
+            branch_profile=self.plan.branch_profile,
             trace=self.trace,
             faults=epoch_faults,
             overload=self.overload,

@@ -8,6 +8,7 @@ and the source of the memory-access counts the cost model charges.
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -54,6 +55,34 @@ class LPMTrie:
         if node.next_hop is None:
             self.prefix_count += 1
         node.next_hop = next_hop
+
+    def __deepcopy__(self, memo) -> "LPMTrie":
+        """Copy the trie node by node without recursion.
+
+        ``copy.deepcopy``'s generic path costs about 20x more on a
+        table of a few thousand prefixes (``ElementGraph.clone`` of
+        every graph holding an ``IPv4Lookup``).  ``copy.deepcopy``
+        records the copy in ``memo``, so a trie shared by two elements
+        stays one trie in the copy; the other attributes go through
+        the same ``memo``.
+        """
+        clone = type(self).__new__(type(self))
+        memo[id(self)] = clone
+        for name, value in self.__dict__.items():
+            if name != "_root":
+                setattr(clone, name, copy.deepcopy(value, memo))
+        clone._root = root = _TrieNode()
+        root.next_hop = self._root.next_hop
+        stack = [(self._root, root)]
+        while stack:
+            source, target = stack.pop()
+            for bit, child in enumerate(source.children):
+                if child is not None:
+                    copied = _TrieNode()
+                    copied.next_hop = child.next_hop
+                    target.children[bit] = copied
+                    stack.append((child, copied))
+        return clone
 
     def lookup(self, address: int) -> Optional[int]:
         next_hop, _depth = self.lookup_with_depth(address)

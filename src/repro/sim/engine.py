@@ -67,6 +67,9 @@ class BranchProfile:
         against a golden model, or simulated from cold state) should
         profile a :meth:`~repro.elements.graph.ElementGraph.clone`
         instead — node ids match, so the profile transfers directly.
+        :meth:`repro.core.profiler.ProfileConfig.measure` does exactly
+        that; NFCompass calls it once per deploy candidate and keeps
+        the result as ``CompassPlan.branch_profile``.
         """
         generator = TrafficGenerator(spec)
         batch_count = max(1, sample_packets // batch_size)

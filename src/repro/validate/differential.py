@@ -18,9 +18,8 @@ original sequential chain.  This module checks that claim mechanically:
 4. report a structured :class:`DifferentialReport` on mismatch.
 
 Deterministic NF naming makes node ids reproducible across the two
-instantiations, which also lets the allocator's mapping (computed on a
-third, profiling-polluted instantiation) be transplanted onto the
-pristine functional graph.
+instantiations.  The allocator profiles a clone of the functional
+graph, so its mapping applies to that graph while it stays pristine.
 """
 
 from __future__ import annotations
@@ -253,12 +252,11 @@ def run_differential(chain_spec: ChainSpec,
 
     Builds the chain twice: once for the sequential golden model and
     once for the functional candidate (kept pristine).  When
-    ``with_partition``, the GTA allocation runs on a
-    :meth:`~repro.elements.graph.ElementGraph.clone` of the candidate
-    graph, whose profiling traffic would otherwise pollute stateful
-    elements before the differential trace runs.  The allocator's
-    mapping is then transplanted onto the pristine candidate graph by
-    node id and validated, so the checked deployment is the
+    ``with_partition``, the GTA allocation maps the candidate graph;
+    it profiles a :meth:`~repro.elements.graph.ElementGraph.clone`,
+    so no profiling traffic reaches the candidate's stateful elements
+    before the differential trace runs.  The mapping is validated
+    against the candidate graph, so the checked deployment is the
     reorganized *and* partitioned one.
     """
     from repro.core.compass import NFCompass
@@ -278,17 +276,13 @@ def run_differential(chain_spec: ChainSpec,
 
     mapping = None
     if with_partition:
-        # Allocation profiles sample traffic through its graph,
-        # warming stateful elements — run it on an independent clone
-        # to keep that away from the pristine candidate.
+        # Allocation profiles a clone, leaving the candidate pristine.
         mapping, _report = compass.allocator.allocate(
-            graph.clone(), spec, batch_size=batch_size,
+            graph, spec, batch_size=batch_size,
         )
         deployment = Deployment(graph=graph, mapping=mapping,
                                 persistent_kernel=compass.persistent_kernel,
                                 name=f"validate:{chain_spec.name}")
-        # Proves the mapping transplant covered every node: the two
-        # builds produced identical node ids.
         deployment.validate()
 
     golden_survivors = _run_golden(golden_sfc, trace, batch_size)

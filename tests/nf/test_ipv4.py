@@ -142,3 +142,61 @@ class TestIPv4ForwarderNF:
         original_ttl = packet.ip.ttl
         out = forwarder.process_packets([packet])
         assert out[0].ip.ttl == original_ttl - 1
+
+
+class TestLPMTrieClone:
+    """``LPMTrie.__deepcopy__`` builds an independent trie iteratively
+    (what ``ElementGraph.clone`` pays for every IPv4 graph)."""
+
+    def test_clone_matches_original(self):
+        import copy
+        import random
+        trie = LPMTrie.random_table(prefix_count=2048, seed=11)
+        clone = copy.deepcopy(trie)
+        assert clone.prefix_count == trie.prefix_count
+        rng = random.Random(5)
+        for _ in range(2000):
+            address = rng.getrandbits(32)
+            assert clone.lookup_with_depth(address) == \
+                trie.lookup_with_depth(address)
+
+    def test_insert_into_clone_leaves_original_unchanged(self):
+        import copy
+        trie = LPMTrie()
+        trie.insert(ipv4_to_int("10.0.0.0"), 8, 1)
+        clone = copy.deepcopy(trie)
+        clone.insert(ipv4_to_int("10.1.0.0"), 16, 2)
+        clone.insert(ipv4_to_int("10.0.0.0"), 8, 3)
+        assert clone.prefix_count == 2
+        assert trie.prefix_count == 1
+        assert trie.lookup_with_depth(ipv4_to_int("10.1.2.3")) == (1, 8)
+        assert clone.lookup_with_depth(ipv4_to_int("10.1.2.3")) == (2, 16)
+
+    def test_shared_trie_stays_shared_in_graph_clone(self):
+        from repro.elements.graph import ElementGraph
+        trie = LPMTrie.random_table(prefix_count=64)
+        graph = ElementGraph(name="two-lookups")
+        graph.chain(IPv4Lookup(trie, name="a"), IPv4Lookup(trie, name="b"))
+        clone = graph.clone()
+        cloned_trie = clone.element("a").table
+        assert cloned_trie is clone.element("b").table
+        assert cloned_trie is not trie
+        assert cloned_trie.prefix_count == trie.prefix_count
+
+    def test_cloned_ipv4_chain_profiles_like_the_original(self):
+        from repro.nf.base import ServiceFunctionChain
+        from repro.nf.catalog import make_nf
+        from repro.sim.engine import BranchProfile
+        from repro.traffic.generator import TrafficSpec
+
+        graph = ServiceFunctionChain(
+            [make_nf(t) for t in ("ipv4", "ipsec", "ipv6")]
+        ).concatenated_graph()
+        spec = TrafficSpec(offered_gbps=10.0, seed=3)
+        cloned = BranchProfile.measure(graph.clone(), spec,
+                                       sample_packets=256, batch_size=64)
+        assert all(graph.element(n).packets_processed == 0
+                   for n in graph.nodes)
+        direct = BranchProfile.measure(graph, spec, sample_packets=256,
+                                       batch_size=64)
+        assert cloned == direct
